@@ -5,21 +5,22 @@
 //   * machine sweep    — measure_best_of over (tile, thread) points,
 //   * best_over_threads — the Section 7 empirical thread-count step,
 //
-// each with a "legacy" arm (the serial free functions: one full
-// geometry walk per simulator call) and a "profiled" arm (a
-// tuner::Session: the walk runs once per tile size, every thread
-// config after the first is closed-form pricing). The
-// best_over_threads shape adds a third, "batched" arm: the session's
-// SoA pricing path (measure_best_of_batch) that prices a whole
-// thread sweep per tile in one fold — its speedup over the scalar
-// profiled arm, with bitwise-identical results, is the acceptance
-// metric of the batch pipeline. A fig6-shaped strategy comparison
+// each with a "legacy" arm (the serial free functions, the scalar
+// oracle) and a tuner::Session arm. The machine sweep's "profiled"
+// arm walks the schedule once per tile size and prices every other
+// point in closed form. The best_over_threads shape's "batched" arm
+// is the session's SoA pricing path (measure_best_of_batch), which
+// prices a whole thread sweep per tile in one fold — its speedup
+// over the serial legacy arm (which builds one profile per tile and
+// prices each thread config separately), with bitwise-identical
+// results, is the acceptance metric of the batch pipeline. A
+// fig6-shaped strategy comparison
 // over the variant-extended space (all six kernel variants) rounds
 // out the headline arms.
 //
 // Emits BENCH_gpusim.json into --csv-dir (default bench/out/).
 // Default scale is a smoke run sized for CI; --full runs paper-scale
-// problems. --jobs=N sets the profiled arms' worker count (legacy
+// problems. --jobs=N sets the Session arms' worker count (legacy
 // arms are serial by definition); jobs=1 keeps the comparison
 // apples-to-apples.
 #include <algorithm>
@@ -74,8 +75,9 @@ struct PruningReport {
 };
 
 // The batched-pricing A/B: the best_over_threads sweep run through
-// the scalar per-point path, then through the SoA batch path.
-// Results must match exactly; the speedup is the acceptance metric.
+// the serial free function (the scalar oracle), then through the
+// Session's SoA batch path. Results must match exactly; the speedup
+// is the acceptance metric.
 struct BatchReport {
   double speedup = 0.0;
   double points_per_sec = 0.0;
@@ -244,12 +246,10 @@ int main(int argc, char** argv) {
                     seconds_since(t0)});
   }
   {
-    // Memoization off: every point is genuinely priced; the profile
-    // cache still collapses the geometry walks (that is the pipeline,
-    // not the memo).
-    tuner::Session s(
-        tuner::TuningContext::with_inputs(dev, def, p, in),
-        tuner::SessionOptions{}.with_jobs(scale.jobs).with_memoize(false));
+    // Every point is distinct, so each is genuinely priced; the
+    // profile cache collapses the geometry walks.
+    tuner::Session s(tuner::TuningContext::with_inputs(dev, def, p, in),
+                     tuner::SessionOptions{}.with_jobs(scale.jobs));
     std::vector<tuner::DataPoint> dps;
     for (const auto& ts : tiles) {
       for (const auto& thr : threads) dps.push_back({ts, thr});
@@ -261,36 +261,24 @@ int main(int argc, char** argv) {
   }
 
   // --- best_over_threads: the acceptance metric ---------------------
-  // Serial vs serial (jobs=1): the speedups isolate the two-stage
-  // pipeline and the SoA batch fold from thread-pool parallelism.
+  // Serial vs serial (jobs=1): the speedup isolates the SoA batch
+  // fold from thread-pool parallelism.
+  BatchReport batch;
   {
+    // The scalar oracle: one profile per tile, one measure_best_of
+    // call per (tile, thread) point against it.
+    std::vector<tuner::EvaluatedPoint> scalar_best;
     const auto t0 = Clock::now();
     for (const auto& ts : tiles) {
-      (void)tuner::best_over_threads(dev, def, p, in, ts);
+      scalar_best.push_back(tuner::best_over_threads(dev, def, p, in, ts));
     }
     arms.push_back({"best_over_threads_legacy",
                     tiles.size() * threads.size(), seconds_since(t0)});
-  }
-  BatchReport batch;
-  {
-    // Scalar per-point pricing (batch off): one simulate_time call
-    // per (tile, thread) point against the shared profile.
-    tuner::Session s(tuner::TuningContext::with_inputs(dev, def, p, in),
-                     tuner::SessionOptions{}
-                         .with_jobs(1)
-                         .with_memoize(false)
-                         .with_batch(false));
-    std::vector<tuner::EvaluatedPoint> scalar_best;
-    const auto t0 = Clock::now();
-    for (const auto& ts : tiles) scalar_best.push_back(s.best_over_threads(ts));
-    arms.push_back({"best_over_threads_profiled",
-                    tiles.size() * threads.size(), seconds_since(t0)});
-    bench::print_sweep_stats(std::cout, s.stats(), s.jobs());
 
-    // Batched SoA pricing (the session default): one
+    // Batched SoA pricing (the Session's GPU path): one
     // measure_best_of_batch fold per tile, Talg hoisted per tile.
     tuner::Session b(tuner::TuningContext::with_inputs(dev, def, p, in),
-                     tuner::SessionOptions{}.with_jobs(1).with_memoize(false));
+                     tuner::SessionOptions{}.with_jobs(1));
     std::vector<tuner::EvaluatedPoint> batch_best;
     const auto t1 = Clock::now();
     for (const auto& ts : tiles) batch_best.push_back(b.best_over_threads(ts));
@@ -416,13 +404,11 @@ int main(int argc, char** argv) {
   const std::vector<std::pair<std::string, double>> speedups = {
       {"machine_sweep",
        ratio("machine_sweep_profiled", "machine_sweep_legacy")},
-      {"best_over_threads",
-       ratio("best_over_threads_profiled", "best_over_threads_legacy")},
       {"best_over_threads_batch",
-       ratio("best_over_threads_batched", "best_over_threads_profiled")},
+       ratio("best_over_threads_batched", "best_over_threads_legacy")},
   };
   batch.speedup =
-      ratio("best_over_threads_batched", "best_over_threads_profiled");
+      ratio("best_over_threads_batched", "best_over_threads_legacy");
   batch.points_per_sec = arm("best_over_threads_batched").pts_per_sec();
 
   AsciiTable t({"arm", "points", "seconds", "points/s"});
@@ -432,11 +418,11 @@ int main(int argc, char** argv) {
   }
   std::cout << t.render();
   for (const auto& [name, x] : speedups) {
-    std::cout << name << " profiled-vs-legacy speedup: "
+    std::cout << name << " speedup over legacy: "
               << AsciiTable::fmt(x, 2) << "x\n";
   }
   std::cout << "batched pricing: " << AsciiTable::fmt(batch.speedup, 2)
-            << "x over scalar profiled, results "
+            << "x over the scalar legacy arm, results "
             << (batch.results_identical ? "identical" : "DIVERGED") << "\n";
   std::cout << "pruned search: " << pruning.machine_points_unpruned
             << " -> " << pruning.machine_points_pruned

@@ -12,9 +12,10 @@ namespace repro::analysis {
 namespace {
 
 std::string tap_str(const stencil::Tap& t, int dim) {
-  std::string s = "(" + std::to_string(t.ds[0]);
+  std::string s = "(";
+  s.append(std::to_string(t.ds[0]));
   for (int d = 1; d < dim; ++d) {
-    s += "," + std::to_string(t.ds[static_cast<std::size_t>(d)]);
+    s.append(",").append(std::to_string(t.ds[static_cast<std::size_t>(d)]));
   }
   return s + ")";
 }

@@ -7,7 +7,6 @@
 #include <tuple>
 #include <utility>
 
-#include "common/env.hpp"
 #include "common/math_util.hpp"
 #include "hhc/bands.hpp"
 
@@ -395,13 +394,6 @@ TileCostProfile TileCostProfile::build_reference(
   return build_impl(p, ts, radius, /*collapse=*/false);
 }
 
-TileCostProfile TileCostProfile::build_auto(const stencil::ProblemSize& p,
-                                            const hhc::TileSizes& ts,
-                                            std::int64_t radius) {
-  return use_reference_sim_path() ? build_reference(p, ts, radius)
-                                  : build(p, ts, radius);
-}
-
 std::int64_t TileCostProfile::total_rows() const noexcept {
   std::int64_t n = empty_rows_;
   for (const RowClass& c : classes_) n += c.mult;
@@ -412,14 +404,6 @@ std::int64_t TileCostProfile::total_blocks() const noexcept {
   std::int64_t n = 0;
   for (const RowClass& c : classes_) n += c.mult * c.blocks;
   return n;
-}
-
-bool use_reference_sim_path() {
-  // Captured once via common/env.hpp; the local static keeps the hot
-  // path a single load.
-  static const bool reference =
-      repro::env_once_equals("REPRO_SIM_PATH", "reference");
-  return reference;
 }
 
 }  // namespace repro::gpusim

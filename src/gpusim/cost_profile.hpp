@@ -128,14 +128,6 @@ class TileCostProfile {
                                          const hhc::TileSizes& ts,
                                          std::int64_t radius);
 
-  // build(), or build_reference() when REPRO_SIM_PATH=reference is
-  // set in the environment — the A/B switch the parity benches flip.
-  // The variable follows the once-per-process contract documented in
-  // common/env.hpp.
-  static TileCostProfile build_auto(const stencil::ProblemSize& p,
-                                    const hhc::TileSizes& ts,
-                                    std::int64_t radius);
-
   // Incremental rebuild for a tile that differs from this profile's
   // only in the inner extents (tS2/tS3). The HexSchedule depends only
   // on (T, S1, tT, tS1, radius), so the row classification — class
@@ -193,15 +185,6 @@ class TileCostProfile {
 
   ProfileSoA soa_;
 };
-
-// True when REPRO_SIM_PATH=reference: simulate_time and the Session
-// route geometry through build_reference(), the Session prices
-// through the scalar AoS path instead of the batched SoA fold, and
-// the event simulator disables congruent-tile reuse. Results are
-// bit-identical either way; the switch exists so benches and tests
-// can prove it. REPRO_SIM_PATH follows the once-per-process contract
-// documented in common/env.hpp.
-bool use_reference_sim_path();
 
 // Stage-one primitive shared with the event simulator: the
 // thread-invariant geometry of one exact (possibly boundary-clipped)

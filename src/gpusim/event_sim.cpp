@@ -138,9 +138,7 @@ EventSimResult simulate_time_event(const DeviceParams& dev,
                                    const stencil::ProblemSize& p,
                                    const hhc::TileSizes& ts,
                                    const hhc::ThreadConfig& thr) {
-  EventSimOptions opt;
-  opt.reuse_congruent_tiles = !use_reference_sim_path();
-  return simulate_time_event(dev, def, p, ts, thr, opt);
+  return simulate_time_event(dev, def, p, ts, thr, EventSimOptions{});
 }
 
 EventSimResult simulate_time_event(const DeviceParams& dev,

@@ -55,8 +55,7 @@ EventSimResult simulate_time_event(const DeviceParams& dev,
                                    const hhc::ThreadConfig& thr,
                                    const EventSimOptions& opt);
 
-// Default options: congruent-tile reuse on, unless
-// REPRO_SIM_PATH=reference selects the fully-enumerated path.
+// Default options: congruent-tile reuse on.
 EventSimResult simulate_time_event(const DeviceParams& dev,
                                    const stencil::StencilDef& def,
                                    const stencil::ProblemSize& p,

@@ -104,20 +104,4 @@ LowerBound lower_bound(const DeviceParams& dev,
   return lb;
 }
 
-LowerBound lower_bound(const DeviceParams& dev,
-                       const stencil::StencilDef& def,
-                       const stencil::ProblemSize& p,
-                       const hhc::TileSizes& ts,
-                       const hhc::ThreadConfig& thr,
-                       const stencil::KernelVariant& var) {
-  // Cheap machine-feasibility first, mirroring simulate_time: an
-  // infeasible point never pays the geometry walk.
-  const ResolvedConfig rc =
-      resolve_config(dev, def, p.dim, ts, thr.total(), var);
-  if (!rc.feasible) return infeasible_bound();
-  const TileCostProfile profile =
-      TileCostProfile::build_auto(p, ts, def.radius);
-  return lower_bound(dev, def, p, ts, thr, profile, var);
-}
-
 }  // namespace repro::gpusim

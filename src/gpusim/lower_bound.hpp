@@ -67,14 +67,4 @@ LowerBound lower_bound(const DeviceParams& dev,
                        const TileCostProfile& profile,
                        const stencil::KernelVariant& var = {});
 
-// Convenience overload: builds the profile via build_auto. Prefer the
-// profile form in sweeps — the tuner's per-tile profile cache makes
-// the geometry walk free across thread configs.
-LowerBound lower_bound(const DeviceParams& dev,
-                       const stencil::StencilDef& def,
-                       const stencil::ProblemSize& p,
-                       const hhc::TileSizes& ts,
-                       const hhc::ThreadConfig& thr,
-                       const stencil::KernelVariant& var = {});
-
 }  // namespace repro::gpusim

@@ -297,8 +297,7 @@ SimResult simulate_time(const DeviceParams& dev,
     res.infeasible_reason = rc.infeasible_reason;
     return res;
   }
-  const TileCostProfile profile =
-      TileCostProfile::build_auto(p, ts, def.radius);
+  const TileCostProfile profile = TileCostProfile::build(p, ts, def.radius);
   return simulate_time(dev, def, p, ts, thr, profile, run_id, var);
 }
 
@@ -328,8 +327,7 @@ SimResult measure_best_of(const DeviceParams& dev,
     res.infeasible_reason = rc.infeasible_reason;
     return res;
   }
-  const TileCostProfile profile =
-      TileCostProfile::build_auto(p, ts, def.radius);
+  const TileCostProfile profile = TileCostProfile::build(p, ts, def.radius);
   return measure_best_of(dev, def, p, ts, thr, profile, runs, var);
 }
 
@@ -385,8 +383,7 @@ double simulate_compute_only(const DeviceParams& dev,
                              const hhc::TileSizes& ts,
                              const hhc::ThreadConfig& thr) {
   hhc::validate(ts, p.dim);
-  const TileCostProfile profile =
-      TileCostProfile::build_auto(p, ts, def.radius);
+  const TileCostProfile profile = TileCostProfile::build(p, ts, def.radius);
   return simulate_compute_only(dev, def, p, ts, thr, profile);
 }
 

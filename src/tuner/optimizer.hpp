@@ -3,15 +3,17 @@
 // The pipeline is the paper's: evaluate Talg over the whole feasible
 // space; keep every point within delta (10 %) of the predicted
 // minimum; run only those few points (plus the thread-count
-// exploration) on the machine; report the best. Also provided:
-// strategy comparison for Fig. 6 and the simulated-annealing solver
-// that stands in for the paper's disappointing Bonmin attempt.
+// exploration) on the machine; report the best. Also provided: the
+// Fig. 6 strategy-comparison types (Session::compare_strategies runs
+// it) and the simulated-annealing solver that stands in for the
+// paper's disappointing Bonmin attempt.
 //
-// The free functions below are kept as thin *serial* compatibility
-// wrappers. New code should use tuner::Session (tuner/session.hpp),
-// which owns the calibrated context, runs the sweeps on a thread pool
-// (--jobs / REPRO_JOBS) with bitwise-deterministic reductions, and
-// memoizes repeated machine measurements.
+// The free evaluate_point / best_over_threads below are the serial
+// scalar pricing oracle: one measure_best_of per point, no batching,
+// no memo. Tuning code uses tuner::Session (tuner/session.hpp), which
+// owns the calibrated context, runs the sweeps on a thread pool
+// (--jobs / REPRO_JOBS) with bitwise-deterministic reductions, prices
+// thread sweeps in batches and memoizes repeated machine measurements.
 #pragma once
 
 #include <cstdint>
@@ -107,8 +109,9 @@ EvaluatedPoint evaluate_point(const gpusim::DeviceParams& dev,
                               const DataPoint& dp);
 
 // Stage-two form: price against a prebuilt geometry profile for
-// dp.ts (see gpusim/cost_profile.hpp). The Session uses this so a
-// thread sweep walks the schedule once, not once per thread config.
+// dp.ts (see gpusim/cost_profile.hpp). The Session's single-point
+// measurements use this against its per-tile profile cache, so the
+// schedule is walked once per tile, not once per point.
 EvaluatedPoint evaluate_point(const gpusim::DeviceParams& dev,
                               const stencil::StencilDef& def,
                               const stencil::ProblemSize& p,
@@ -175,11 +178,6 @@ struct CompareOptions {
   void validate(analysis::DiagnosticEngine& eng) const;
   void validate() const;
 };
-
-StrategyComparison compare_strategies(const gpusim::DeviceParams& dev,
-                                      const stencil::StencilDef& def,
-                                      const stencil::ProblemSize& p,
-                                      const CompareOptions& opt = {});
 
 // --- Heuristic solver (the Bonmin stand-in, Section 6.1) -------------
 

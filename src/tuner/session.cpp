@@ -69,6 +69,13 @@ std::size_t Session::PointKeyHash::operator()(
   return static_cast<std::size_t>(h);
 }
 
+Session::PointKey Session::PointKey::of(const DataPoint& dp) noexcept {
+  return {dp.ts.tT,  dp.ts.tS1, dp.ts.tS2,
+          dp.ts.tS3, dp.thr.n1, dp.thr.n2,
+          dp.thr.n3, dp.var.unroll,
+          static_cast<int>(dp.var.staging)};
+}
+
 std::size_t Session::TileKeyHash::operator()(const TileKey& k) const noexcept {
   std::uint64_t h = mix64(static_cast<std::uint64_t>(k.tT));
   h = mix64(h ^ static_cast<std::uint64_t>(k.tS1));
@@ -81,10 +88,6 @@ std::size_t Session::StepKeyHash::operator()(const StepKey& k) const noexcept {
   std::uint64_t h = mix64(static_cast<std::uint64_t>(k.tT));
   h = mix64(h ^ static_cast<std::uint64_t>(k.tS1));
   return static_cast<std::size_t>(h);
-}
-
-bool Session::use_batch() const {
-  return opt_.batch && ctx_.dev.is_gpu() && !gpusim::use_reference_sim_path();
 }
 
 Session::Session(TuningContext ctx, SessionOptions opt)
@@ -159,15 +162,9 @@ std::shared_ptr<const gpusim::TileCostProfile> Session::profile_for(
     // A cached profile sharing (tT, tS1) serves as the base of an
     // incremental rebuild: the hexahedral schedule depends only on
     // those two dimensions, so build_step reuses its wavefront
-    // structure and recomputes per-class geometry only. This is part
-    // of the batched pipeline: with batch off (or under the
-    // reference sim path, whose profiles keep every band enumerated)
-    // every profile is built from scratch, reproducing the scalar
-    // pipeline's stage-one work exactly.
-    if (use_batch()) {
-      const auto sit = steps_.find(skey);
-      if (sit != steps_.end() && sit->second->valid()) base = sit->second;
-    }
+    // structure and recomputes per-class geometry only.
+    const auto sit = steps_.find(skey);
+    if (sit != steps_.end() && sit->second->valid()) base = sit->second;
   }
   // Build outside the lock (the schedule walk is the expensive part);
   // racing builders produce identical profiles, first insert wins —
@@ -176,8 +173,8 @@ std::shared_ptr<const gpusim::TileCostProfile> Session::profile_for(
   const auto t0 = Clock::now();
   auto prof = std::make_shared<const gpusim::TileCostProfile>(
       base ? base->build_step(ts)
-           : gpusim::TileCostProfile::build_auto(ctx_.problem, ts,
-                                                 ctx_.def.radius));
+           : gpusim::TileCostProfile::build(ctx_.problem, ts,
+                                            ctx_.def.radius));
   const double elapsed = seconds_since(t0);
   std::lock_guard<std::mutex> lk(mu_);
   if (base) {
@@ -192,11 +189,8 @@ std::shared_ptr<const gpusim::TileCostProfile> Session::profile_for(
 }
 
 EvaluatedPoint Session::measure(const DataPoint& dp) {
-  const PointKey key{dp.ts.tT,  dp.ts.tS1, dp.ts.tS2,
-                     dp.ts.tS3, dp.thr.n1, dp.thr.n2,
-                     dp.thr.n3, dp.var.unroll,
-                     static_cast<int>(dp.var.staging)};
-  if (opt_.memoize) {
+  const PointKey key = PointKey::of(dp);
+  {
     std::lock_guard<std::mutex> lk(mu_);
     ++stats_.machine_points;
     const auto it = cache_.find(key);
@@ -204,9 +198,6 @@ EvaluatedPoint Session::measure(const DataPoint& dp) {
       ++stats_.cache_hits;
       return it->second;
     }
-  } else {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.machine_points;
   }
   if (ctx_.dev.is_cpu()) {
     // The CPU backend has no thread-invariant geometry profile; the
@@ -225,7 +216,7 @@ EvaluatedPoint Session::measure(const DataPoint& dp) {
     const double priced = seconds_since(t0);
     std::lock_guard<std::mutex> lk(mu_);
     stats_.pricing_seconds += priced;
-    if (opt_.memoize) cache_.emplace(key, ep);
+    cache_.emplace(key, ep);
     return ep;
   }
   // Stage one (memoized schedule walk), then stage two (closed-form
@@ -240,7 +231,7 @@ EvaluatedPoint Session::measure(const DataPoint& dp) {
   const double priced = seconds_since(t0);
   std::lock_guard<std::mutex> lk(mu_);
   stats_.pricing_seconds += priced;
-  if (opt_.memoize) cache_.emplace(key, ep);
+  cache_.emplace(key, ep);
   return ep;
 }
 
@@ -249,11 +240,8 @@ std::optional<EvaluatedPoint> Session::measure_bounded(const DataPoint& dp,
   if (inc == nullptr || !opt_.prune) return measure(dp);
   // Cache first: a hit costs less than the bound and keeps the memo
   // counters meaningful (revisits stay cache hits, never prunes).
-  const PointKey key{dp.ts.tT,  dp.ts.tS1, dp.ts.tS2,
-                     dp.ts.tS3, dp.thr.n1, dp.thr.n2,
-                     dp.thr.n3, dp.var.unroll,
-                     static_cast<int>(dp.var.staging)};
-  if (opt_.memoize) {
+  const PointKey key = PointKey::of(dp);
+  {
     std::lock_guard<std::mutex> lk(mu_);
     const auto it = cache_.find(key);
     if (it != cache_.end()) {
@@ -402,10 +390,10 @@ EvaluatedPoint Session::sweep_tile(
       device_thread_configs(ctx_.dev, ctx_.problem.dim);
   EvaluatedPoint best;
 
-  if (!use_batch()) {
-    // Scalar reference path: one measure_bounded per (variant,
-    // thread) point, variant-major — the order the batched fold
-    // below reproduces.
+  if (ctx_.dev.is_cpu()) {
+    // The CPU backend has no geometry profile to batch against: one
+    // measure_bounded per thread point (the variant axis collapsed to
+    // the default above).
     for (const stencil::KernelVariant& var : vars) {
       for (const hhc::ThreadConfig& thr : threads) {
         const std::optional<EvaluatedPoint> ep =
@@ -416,11 +404,12 @@ EvaluatedPoint Session::sweep_tile(
     return best;
   }
 
-  // Batched SoA path. Pass 1 walks the sweep in the scalar visit
-  // order, serving cache hits and bounding misses exactly like
-  // measure_bounded; pass 2 prices each variant's surviving misses in
-  // one measure_best_of_batch call. Results land in visit-order slots
-  // so the final fold's tie-breaking matches the scalar loop.
+  // Batched SoA path. Pass 1 walks the sweep variant-major, thread
+  // configs innermost, serving cache hits and bounding misses exactly
+  // like measure_bounded; pass 2 prices each variant's surviving
+  // misses in one measure_best_of_batch call. Results land in
+  // visit-order slots so the final fold's tie-breaking matches the
+  // serial variant-major loop.
   const std::size_t nthr = threads.size();
   std::vector<EvaluatedPoint> slot(vars.size() * nthr);
   std::vector<char> have(vars.size() * nthr, 0);
@@ -429,13 +418,9 @@ EvaluatedPoint Session::sweep_tile(
     const stencil::KernelVariant& var = vars[vi];
     for (std::size_t ti = 0; ti < nthr; ++ti) {
       const hhc::ThreadConfig& thr = threads[ti];
-      if (opt_.memoize) {
-        const PointKey key{ts.tT,   ts.tS1,     ts.tS2,
-                           ts.tS3,  thr.n1,     thr.n2,
-                           thr.n3,  var.unroll,
-                           static_cast<int>(var.staging)};
+      {
         std::lock_guard<std::mutex> lk(mu_);
-        const auto it = cache_.find(key);
+        const auto it = cache_.find(PointKey::of(DataPoint{ts, thr, var}));
         if (it != cache_.end()) {
           ++stats_.machine_points;
           ++stats_.cache_hits;
@@ -474,7 +459,7 @@ EvaluatedPoint Session::sweep_tile(
   }
 
   // Talg depends only on the tile, not on threads or variant: price
-  // it once for the whole sweep (the scalar path recomputes the same
+  // it once for the whole sweep (the scalar oracle recomputes the same
   // double per point).
   double talg = 0.0;
   bool have_talg = false;
@@ -486,9 +471,8 @@ EvaluatedPoint Session::sweep_tile(
       talg = model_talg_or_inf(ctx_.inputs, ctx_.problem, ts);
       have_talg = true;
     }
-    // One profile_for per measured point, mirroring the scalar path
-    // so the profile-cache counters stay comparable (one build, the
-    // rest hits).
+    // One profile_for per measured point, so the profile-cache
+    // counters count per point (one build, the rest hits).
     std::shared_ptr<const gpusim::TileCostProfile> prof;
     for (std::size_t k = 0; k < miss[vi].size(); ++k) prof = profile_for(ts);
     batch_thrs.clear();
@@ -515,14 +499,9 @@ EvaluatedPoint Session::sweep_tile(
         ep.texec = res.seconds;
         ep.gflops = res.gflops;
       }
-      if (opt_.memoize) {
-        const PointKey key{ts.tT,  ts.tS1,
-                           ts.tS2, ts.tS3,
-                           threads[ti].n1, threads[ti].n2,
-                           threads[ti].n3, vars[vi].unroll,
-                           static_cast<int>(vars[vi].staging)};
+      {
         std::lock_guard<std::mutex> lk(mu_);
-        cache_.emplace(key, ep);
+        cache_.emplace(PointKey::of(ep.dp), ep);
       }
       if (inc != nullptr && opt_.prune && ep.feasible) inc->offer(ep.texec);
       slot[vi * nthr + ti] = ep;

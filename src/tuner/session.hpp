@@ -4,8 +4,9 @@
 // device, the stencil, the problem size, the calibrated model inputs
 // (a `TuningContext`), a fixed thread pool, and a memoization cache
 // of simulator measurements — and re-exports the optimizer entry
-// points as methods. The free functions in optimizer.hpp remain as
-// thin serial wrappers; new code should prefer the Session:
+// points as methods. The serial free functions in optimizer.hpp are
+// the scalar oracle the tests compare against; tuning code uses the
+// Session:
 //
 //   tuner::Session s(gpusim::gtx980(), def, p);       // calibrates
 //   const auto space = tuner::enumerate_feasible(p.dim, s.inputs().hw);
@@ -55,17 +56,16 @@
 // on vs off across job counts; SweepStats reports the pruning volume
 // (points_pruned) and the bound-evaluation wall time (bound_seconds).
 //
-// Batched pricing (SessionOptions::batch, default on): a thread sweep
-// over one (tile, variant) is priced in one gpusim::measure_best_of_batch
-// call against the tile's SoA profile instead of one simulate_time
-// call per config — Talg is computed once per tile, the profile is
+// Batched pricing: on a GPU device a thread sweep over one (tile,
+// variant) is priced in one gpusim::measure_best_of_batch call
+// against the tile's SoA profile instead of one simulate_time call
+// per config — Talg is computed once per tile, the profile is
 // fetched per point but built once, and the per-class unit fold runs
-// over the contiguous slab. The batch path is bit-identical to the
-// scalar path (gpusim/cost_profile.hpp documents why), so flipping
-// `batch` — or setting REPRO_SIM_PATH=reference, which forces the
-// scalar AoS path — never changes a result, only the wall time; the
-// tuner-tier tests pin byte-equality across batch on/off, prune
-// on/off and job counts over the variant-extended space.
+// over the contiguous slab. This is the only GPU sweep path; the
+// serial free functions in optimizer.hpp are the scalar oracle it is
+// tested against (gpusim/cost_profile.hpp documents why the two are
+// bit-identical). The tuner-tier tests pin byte-equality across
+// prune on/off and job counts over the variant-extended space.
 #pragma once
 
 #include <atomic>
@@ -145,10 +145,8 @@ struct SweepStats {
   // the first reuses it (stage two, closed-form pricing). A "step" is
   // an incremental rebuild (TileCostProfile::build_step) from a
   // cached profile sharing (tT, tS1) — the schedule walk is skipped
-  // and only the per-class geometry is recomputed. Steps belong to
-  // the batched pipeline: with batch off every profile is a scratch
-  // build, so the scalar A/B arm reproduces the pre-batch stage-one
-  // work (results are bit-identical either way).
+  // and only the per-class geometry is recomputed (results are
+  // bit-identical to a scratch build).
   std::size_t profile_builds = 0;   // geometry profiles built from scratch
   std::size_t profile_steps = 0;    // ... rebuilt incrementally instead
   std::size_t profile_hits = 0;     // served from the profile cache
@@ -185,23 +183,14 @@ struct SessionOptions {
   // <= 0: default_jobs() (REPRO_JOBS env var, else all hardware
   // threads). The bench binaries wire --jobs into this.
   int jobs = 0;
-  // Disable to re-simulate every requested point (for A/B timing).
-  bool memoize = true;
   // Bound-and-prune: skip the simulator for points whose admissible
   // lower bound beats the incumbent (see the header comment). Off
   // measures every requested point — the A/B switch the pruning
   // equality tests and benches flip.
   bool prune = true;
-  // Batched SoA pricing of thread sweeps (see the header comment).
-  // Off forces the scalar per-point path — the A/B switch the batch
-  // equality tests and the throughput bench flip. REPRO_SIM_PATH=
-  // reference overrides this to off at runtime.
-  bool batch = true;
 
   SessionOptions& with_jobs(int j) noexcept { jobs = j; return *this; }
-  SessionOptions& with_memoize(bool m) noexcept { memoize = m; return *this; }
   SessionOptions& with_prune(bool p) noexcept { prune = p; return *this; }
-  SessionOptions& with_batch(bool b) noexcept { batch = b; return *this; }
 };
 
 class Session {
@@ -273,7 +262,7 @@ class Session {
   // point of this very reduction (the sweep revisits it as a cache
   // hit), and visit order never affects the index-ordered fold — so
   // warm results are byte-identical to cold, seeded or not, for any
-  // prune/batch/jobs setting. Out-of-space seeds are ignored
+  // prune/jobs setting. Out-of-space seeds are ignored
   // (counted in SweepStats::seeds_offered but not seeds_admitted).
   // `incumbent_seed` must be a valid cutoff (SL315 otherwise): +inf
   // means none; a finite value must be the measured texec of a point
@@ -317,6 +306,7 @@ class Session {
     // Kernel variant (stencil/variant.hpp), flattened so the key
     // stays a plain aggregate. Default variant: {1, 0}.
     int unroll, staging;
+    static PointKey of(const DataPoint& dp) noexcept;
     friend bool operator==(const PointKey&, const PointKey&) = default;
   };
   struct PointKeyHash {
@@ -345,10 +335,6 @@ class Session {
     std::size_t operator()(const StepKey& k) const noexcept;
   };
 
-  // Whether thread sweeps run through the batched SoA pricing path
-  // (GPU device, batch option on, reference sim path not forced).
-  bool use_batch() const;
-
   // Cache-aware single measurement; also bumps the point counters.
   EvaluatedPoint measure(const DataPoint& dp);
   // Like measure(), but consults `inc` first: cache hits and fresh
@@ -364,9 +350,9 @@ class Session {
   // The unit of work of every thread sweep: the best measured
   // (thread, variant) point of one tile, folded variant-major in span
   // order (empty span = default variant; CPU devices always collapse
-  // to it). Routes through the batched SoA pricing path when
-  // use_batch(), the scalar per-point path otherwise — bit-identical
-  // either way. `inc` participates exactly like measure_bounded's:
+  // to it). GPU sweeps go through the batched SoA pricing path; CPU
+  // sweeps, which have no profile, price per point through
+  // measure_bounded. `inc` participates exactly like measure_bounded's:
   // nullptr (or prune off) measures every point. Not timed — callers
   // own the phase.
   EvaluatedPoint sweep_tile(const hhc::TileSizes& ts,
@@ -403,10 +389,8 @@ class Session {
   // Latest cached profile per (tT, tS1): HexSchedule depends only on
   // those two tile dimensions, so a miss whose (tT, tS1) matches a
   // cached profile rebuilds incrementally via build_step (the
-  // schedule walk is skipped) instead of from scratch. Consulted only
-  // when use_batch() — the scalar A/B arm pays the full scratch
-  // build, like the pre-batch pipeline did. Bit-identical to a
-  // scratch build, so which base a racing worker sees can never
+  // schedule walk is skipped) instead of from scratch. Bit-identical
+  // to a scratch build, so which base a racing worker sees can never
   // change a result, only the profile_builds/profile_steps split.
   std::unordered_map<StepKey, std::shared_ptr<const gpusim::TileCostProfile>,
                      StepKeyHash>

@@ -1,16 +1,28 @@
 #include "gpusim/calibration_io.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "gpusim/microbench.hpp"
 
 namespace repro::gpusim {
 namespace {
 
-std::string temp_path() { return "/tmp/repro_calibration_test.txt"; }
+// A path unique per test case and process: ctest -j runs the cases
+// concurrently, each in its own process.
+std::string temp_path() {
+  const std::string name =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  return (std::filesystem::temp_directory_path() /
+          ("repro_calibration_test_" + name + "_" +
+           std::to_string(::getpid()) + ".txt"))
+      .string();
+}
 
 TEST(CalibrationIo, RoundTripsExactly) {
   const model::ModelInputs in = calibrate_model(

@@ -113,28 +113,14 @@ TEST(LowerBound, AdmissibleAcrossParitySuite) {
   for (const BoundCase& c : bound_cases()) expect_admissible(c);
 }
 
-TEST(LowerBound, ProfileOverloadMatchesConvenienceOverload) {
-  for (const BoundCase& c : bound_cases()) {
-    const StencilDef& def = get_stencil(c.kind);
-    const TileCostProfile prof =
-        TileCostProfile::build(c.p, c.ts, def.radius);
-    const LowerBound a = lower_bound(gtx980(), def, c.p, c.ts, c.thr, prof);
-    const LowerBound b = lower_bound(gtx980(), def, c.p, c.ts, c.thr);
-    EXPECT_EQ(a.feasible, b.feasible) << c.name;
-    EXPECT_EQ(a.seconds, b.seconds) << c.name;
-    EXPECT_EQ(a.compute_floor, b.compute_floor) << c.name;
-    EXPECT_EQ(a.memory_floor, b.memory_floor) << c.name;
-    EXPECT_EQ(a.overhead_floor, b.overhead_floor) << c.name;
-  }
-}
-
 TEST(LowerBound, InfeasibleConfigurationIsInfinite) {
   const StencilDef& def = get_stencil(StencilKind::kHeat2D);
   const ProblemSize p{.dim = 2, .S = {1024, 1024, 0}, .T = 256};
   // Odd tT: the geometry itself is invalid.
-  const LowerBound odd = lower_bound(
-      gtx980(), def, p, {.tT = 7, .tS1 = 16, .tS2 = 64, .tS3 = 1},
-      {.n1 = 32, .n2 = 8, .n3 = 1});
+  const hhc::TileSizes odd_ts{.tT = 7, .tS1 = 16, .tS2 = 64, .tS3 = 1};
+  const LowerBound odd =
+      lower_bound(gtx980(), def, p, odd_ts, {.n1 = 32, .n2 = 8, .n3 = 1},
+                  TileCostProfile::build(p, odd_ts, def.radius));
   EXPECT_FALSE(odd.feasible);
   EXPECT_TRUE(std::isinf(odd.seconds));
   // Valid geometry, illegal thread block: the total thread count
@@ -142,7 +128,8 @@ TEST(LowerBound, InfeasibleConfigurationIsInfinite) {
   const hhc::TileSizes ts{.tT = 8, .tS1 = 16, .tS2 = 64, .tS3 = 1};
   const hhc::ThreadConfig bad_thr{.n1 = 1024, .n2 = 4, .n3 = 1};
   const SimResult sim = simulate_time(gtx980(), def, p, ts, bad_thr);
-  const LowerBound lb = lower_bound(gtx980(), def, p, ts, bad_thr);
+  const LowerBound lb = lower_bound(gtx980(), def, p, ts, bad_thr,
+                                    TileCostProfile::build(p, ts, def.radius));
   ASSERT_FALSE(sim.feasible);  // the premise of this test
   EXPECT_FALSE(lb.feasible);
   EXPECT_TRUE(std::isinf(lb.seconds));
@@ -174,7 +161,9 @@ TEST(LowerBound, AdmissibleOnSeededRandomFeasibleSample) {
       thr.n1 = 32 * static_cast<int>(rng.uniform_int(1, 4));
       thr.n2 = sp.p.dim >= 2 ? static_cast<int>(rng.uniform_int(1, 8)) : 1;
       thr.n3 = sp.p.dim >= 3 ? static_cast<int>(rng.uniform_int(1, 4)) : 1;
-      const LowerBound lb = lower_bound(gtx980(), def, sp.p, ts, thr);
+      const LowerBound lb =
+          lower_bound(gtx980(), def, sp.p, ts, thr,
+                      TileCostProfile::build(sp.p, ts, def.radius));
       const SimResult sim = simulate_time(gtx980(), def, sp.p, ts, thr);
       ASSERT_EQ(lb.feasible, sim.feasible)
           << sp.p.dim << "D draw " << draw;

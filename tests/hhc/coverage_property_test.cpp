@@ -139,8 +139,11 @@ INSTANTIATE_TEST_SUITE_P(
                       GeometryParam{3, 7, 6, 3}),
     [](const ::testing::TestParamInfo<GeometryParam>& info) {
       const auto& p = info.param;
-      return "T" + std::to_string(p.T) + "_S" + std::to_string(p.S) + "_tT" +
-             std::to_string(p.tT) + "_tS" + std::to_string(p.tS1);
+      std::string name = "T";
+      name.append(std::to_string(p.T)).append("_S");
+      name.append(std::to_string(p.S)).append("_tT");
+      name.append(std::to_string(p.tT)).append("_tS");
+      return name.append(std::to_string(p.tS1));
     });
 
 }  // namespace

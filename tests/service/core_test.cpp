@@ -1,6 +1,7 @@
 #include "service/core.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -41,10 +42,19 @@ std::string predict_with_tT(int tT, const std::string& id) {
          R"("threads":{"n1":32,"n2":4}})";
 }
 
+// A directory unique per test case and process: ctest -j runs the
+// cases of one fixture concurrently, each in its own process.
+fs::path unique_temp_dir(const std::string& prefix) {
+  const std::string name =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  return fs::temp_directory_path() /
+         (prefix + "_" + name + "_" + std::to_string(::getpid()));
+}
+
 class CoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    store_dir_ = fs::temp_directory_path() / "repro_core_test_store";
+    store_dir_ = unique_temp_dir("repro_core_test_store");
     fs::remove_all(store_dir_);
   }
   void TearDown() override { fs::remove_all(store_dir_); }

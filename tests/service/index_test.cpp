@@ -6,6 +6,7 @@
 #include "service/index.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -35,10 +36,19 @@ std::string best_tile_payload(double texec = 1.5e-4) {
          ",\"gflops\":350.0}}";
 }
 
+// A directory unique per test case and process: ctest -j runs the
+// cases of one fixture concurrently, each in its own process.
+fs::path unique_temp_dir(const std::string& prefix) {
+  const std::string name =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  return fs::temp_directory_path() /
+         (prefix + "_" + name + "_" + std::to_string(::getpid()));
+}
+
 class IndexTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "repro_index_test";
+    dir_ = unique_temp_dir("repro_index_test");
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

@@ -1,6 +1,7 @@
 #include "service/store.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -11,10 +12,19 @@ namespace {
 
 namespace fs = std::filesystem;
 
+// A directory unique per test case and process: ctest -j runs the
+// cases of one fixture concurrently, each in its own process.
+fs::path unique_temp_dir(const std::string& prefix) {
+  const std::string name =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  return fs::temp_directory_path() /
+         (prefix + "_" + name + "_" + std::to_string(::getpid()));
+}
+
 class StoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "repro_store_test";
+    dir_ = unique_temp_dir("repro_store_test");
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

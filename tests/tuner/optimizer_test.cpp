@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "gpusim/microbench.hpp"
+#include "tuner/session.hpp"
 
 namespace repro::tuner {
 namespace {
@@ -121,7 +122,8 @@ TEST(Optimizer, CompareStrategiesOrdering) {
   opt.exhaustive_cap = 60;
   opt.baseline_count = 24;
   const StrategyComparison cmp =
-      compare_strategies(gpusim::gtx980(), def, kSmall2D, opt);
+      Session(gpusim::gtx980(), def, kSmall2D, SessionOptions{}.with_jobs(1))
+          .compare_strategies(opt);
 
   ASSERT_TRUE(cmp.within10_best.feasible);
   ASSERT_TRUE(cmp.baseline_best.feasible);

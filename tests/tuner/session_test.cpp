@@ -115,7 +115,8 @@ TEST(Session, CompareStrategiesIsDeterministicAcrossJobCounts) {
                                  .with_baseline_count(24);
 
   const StrategyComparison serial =
-      compare_strategies(gpusim::gtx980(), def, kSmall2D, opt);
+      Session(gpusim::gtx980(), def, kSmall2D, SessionOptions{}.with_jobs(1))
+          .compare_strategies(opt);
   for (const int jobs : {1, 2, 4}) {
     Session session(
         TuningContext::with_inputs(gpusim::gtx980(), def, kSmall2D, in),
@@ -198,18 +199,6 @@ TEST(Session, ProfileCacheSharesGeometryAcrossThreadConfigs) {
   EXPECT_EQ(session.stats().profile_builds, 3u);
 }
 
-TEST(Session, MemoizeOffDisablesTheCache) {
-  const auto& def = get_stencil(StencilKind::kHeat2D);
-  Session session(gpusim::gtx980(), def, kSmall2D,
-                  SessionOptions{}.with_jobs(1).with_memoize(false));
-  const hhc::TileSizes ts{.tT = 8, .tS1 = 8, .tS2 = 64, .tS3 = 1};
-  const EvaluatedPoint a = session.best_over_threads(ts);
-  const EvaluatedPoint b = session.best_over_threads(ts);
-  EXPECT_EQ(a, b);  // the simulator is deterministic either way
-  EXPECT_EQ(session.stats().cache_hits, 0u);
-  EXPECT_EQ(session.cache_size(), 0u);
-}
-
 TEST(Session, CompareStrategiesReusesSharedPoints) {
   // The exhaustive pass revisits the baseline and within-10% points;
   // with the memo cache those must be hits, not re-simulations.
@@ -280,10 +269,8 @@ TEST(CompareOptionsValidate, ReportsStructuredErrors) {
 }
 
 TEST(SessionOptions, BuildersCompose) {
-  const SessionOptions opt =
-      SessionOptions{}.with_jobs(7).with_memoize(false).with_prune(false);
+  const SessionOptions opt = SessionOptions{}.with_jobs(7).with_prune(false);
   EXPECT_EQ(opt.jobs, 7);
-  EXPECT_FALSE(opt.memoize);
   EXPECT_FALSE(opt.prune);
   EXPECT_TRUE(SessionOptions{}.prune);  // pruning defaults on
 }

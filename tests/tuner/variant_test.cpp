@@ -1,8 +1,8 @@
 // The kernel-variant search axis and the batched SoA pricing path:
 // sweeping the variant-extended space must be byte-identical across
-// scalar vs batched pricing, pruning on vs off and any job count
-// (mirroring prune_test.cpp's invariant), best_over_variants must
-// reproduce the serial variant-major fold, the batch path must keep
+// pruning on vs off and any job count (mirroring prune_test.cpp's
+// invariant), best_over_variants must reproduce the serial
+// variant-major fold over the scalar oracle, the batch path must keep
 // the session's counter pins (one profile build per tile, incremental
 // steps for inner-extent neighbours), and the SL312/SL314 diagnostics
 // must fire on invalid or register-hungry variants.
@@ -44,8 +44,8 @@ EnumOptions variant_space() {
 
 // The headline invariant (mirrors Prune.CompareStrategies...): over
 // the variant-extended space, compare_strategies is bitwise-equal
-// across batched vs scalar pricing, pruning on vs off, and job
-// counts. The reference is the scalar, unpruned, serial sweep.
+// across pruning on vs off and job counts. The reference is the
+// unpruned, serial sweep.
 TEST(Variant, CompareStrategiesBitwiseEqualAcrossBatchPruneJobs) {
   const auto& def = get_stencil(StencilKind::kHeat2D);
   const model::ModelInputs in = gpusim::calibrate_model(gpusim::gtx980(), def);
@@ -56,8 +56,7 @@ TEST(Variant, CompareStrategiesBitwiseEqualAcrossBatchPruneJobs) {
 
   Session exact(TuningContext::with_inputs(gpusim::gtx980(), def, kProblem,
                                            in),
-                SessionOptions{}.with_jobs(1).with_prune(false).with_batch(
-                    false));
+                SessionOptions{}.with_jobs(1).with_prune(false));
   const StrategyComparison reference = exact.compare_strategies(opt);
   const SweepStats exact_st = exact.stats();
   EXPECT_EQ(exact_st.points_pruned, 0u);
@@ -67,22 +66,17 @@ TEST(Variant, CompareStrategiesBitwiseEqualAcrossBatchPruneJobs) {
   EXPECT_TRUE(reference.exhaustive.feasible);
 
   struct Combo {
-    bool batch;
     bool prune;
     int jobs;
   };
-  for (const Combo c : {Combo{true, false, 1}, Combo{true, true, 1},
-                        Combo{true, true, 4}, Combo{false, true, 2}}) {
+  for (const Combo c : {Combo{false, 4}, Combo{true, 1}, Combo{true, 2},
+                        Combo{true, 4}}) {
     Session s(TuningContext::with_inputs(gpusim::gtx980(), def, kProblem,
                                          in),
-              SessionOptions{}
-                  .with_jobs(c.jobs)
-                  .with_prune(c.prune)
-                  .with_batch(c.batch));
+              SessionOptions{}.with_jobs(c.jobs).with_prune(c.prune));
     const StrategyComparison cmp = s.compare_strategies(opt);
-    const std::string what = std::string("batch=") +
-                             (c.batch ? "on" : "off") +
-                             " prune=" + (c.prune ? "on" : "off") +
+    const std::string what = std::string("prune=") +
+                             (c.prune ? "on" : "off") +
                              " jobs=" + std::to_string(c.jobs);
     EXPECT_EQ(cmp, reference) << what;
 
@@ -99,8 +93,8 @@ TEST(Variant, CompareStrategiesBitwiseEqualAcrossBatchPruneJobs) {
   }
 }
 
-// best_over_variants == the serial variant-major fold over scalar
-// single-point measurements (variants in span order, thread configs
+// best_over_variants == the serial variant-major fold over the free
+// scalar evaluate_point (variants in span order, thread configs
 // innermost, first strictly-better point wins).
 TEST(Variant, BestOverVariantsMatchesManualScalarFold) {
   const auto& def = get_stencil(StencilKind::kHeat2D);
@@ -113,16 +107,13 @@ TEST(Variant, BestOverVariantsMatchesManualScalarFold) {
                   SessionOptions{}.with_jobs(1));
   const EvaluatedPoint got = batched.best_over_variants(ts, vars);
 
-  Session scalar(TuningContext::with_inputs(gpusim::gtx980(), def, kProblem,
-                                            in),
-                 SessionOptions{}.with_jobs(1).with_prune(false).with_batch(
-                     false));
   EvaluatedPoint best{};
   bool have = false;
   for (const KernelVariant& var : vars) {
     for (const hhc::ThreadConfig& thr :
          device_thread_configs(gpusim::gtx980(), kProblem.dim)) {
-      const EvaluatedPoint ep = scalar.evaluate_point({ts, thr, var});
+      const EvaluatedPoint ep =
+          evaluate_point(gpusim::gtx980(), def, kProblem, in, {ts, thr, var});
       if (!have) {
         best = ep;
         have = true;
@@ -136,7 +127,8 @@ TEST(Variant, BestOverVariantsMatchesManualScalarFold) {
 
   // The variant axis can only help: its best is at least as good as
   // the default-variant thread sweep over the same tile.
-  const EvaluatedPoint default_best = scalar.best_over_threads(ts);
+  const EvaluatedPoint default_best =
+      best_over_threads(gpusim::gtx980(), def, kProblem, in, ts);
   ASSERT_TRUE(default_best.feasible);
   EXPECT_LE(got.texec, default_best.texec);
 }
